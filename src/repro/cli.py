@@ -194,7 +194,6 @@ def _cmd_serve(args: argparse.Namespace):
         burst_end_s=args.burst_end,
         deadline_ms=args.deadline_ms,
         queue_capacity=args.queue_capacity,
-        batch=args.batch,
         batch_max=args.batch_max,
         batch_window_s=args.batch_window,
         workers=args.workers,
@@ -925,15 +924,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-capacity", type=int, default=32,
                    help="bounded ingress queue depth (overflow sheds "
                         "newest-lowest-priority first)")
-    p.add_argument("--batch", type=int, default=4,
-                   help="requests dispatched per decode round")
-    p.add_argument("--batch-max", type=int, default=None,
-                   help="enable micro-batching: coalesce up to this many "
-                        "queued requests into one batched decode task "
-                        "(unset = per-request dispatch)")
+    p.add_argument("--batch-max", type=int, default=4,
+                   help="queued requests dispatched per decode task")
     p.add_argument("--batch-window", type=float, default=0.0,
-                   help="virtual seconds to hold a forming micro-batch "
-                        "for further arrivals (requires --batch-max)")
+                   help="virtual seconds to hold a forming dispatch "
+                        "group for further arrivals")
     p.add_argument("--arrivals",
                    choices=("cbr", "poisson", "bursty", "office"),
                    default="poisson", help="arrival process")
@@ -984,8 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outlier-tag", type=int, action="append",
                    default=None, metavar="TAG",
                    help="sabotage this tag address: its requests decode "
-                        "at --outlier-distance (repeatable; requires "
-                        "per-request dispatch)")
+                        "at --outlier-distance (repeatable)")
     p.add_argument("--outlier-distance", type=float, default=None,
                    help="tag-reader distance (m) for --outlier-tag "
                         "requests")

@@ -251,7 +251,7 @@ class UplinkDecoder:
         cfg = self.config
         # Clean resolutions (no degradation, hence no counter/span side
         # effects) memoize on the stream: re-decodes of the same stream
-        # (retries, the batched decoder's pack step) skip the probe.
+        # (retries) skip the probe.
         memo_key = self._resolve_keys.get(mode)
         if memo_key is None:
             memo_key = self._resolve_keys.setdefault(mode, (

@@ -67,10 +67,9 @@ class MeasurementStream:
 
     measurements: List[ChannelMeasurement] = field(default_factory=list)
     #: Length-keyed memo of the stacked array views.  Decoders hit
-    #: ``timestamps`` / ``flattened_csi()`` several times per decode
-    #: (and the batched decoder packs the same stream it just
-    #: coverage-probed), so each stacked view is built once per stream
-    #: length and invalidated by growth.  Cached arrays are marked
+    #: ``timestamps`` / ``flattened_csi()`` several times per decode,
+    #: so each stacked view is built once per stream length and
+    #: invalidated by growth.  Cached arrays are marked
     #: read-only because they are shared between callers.
     _cache: Dict[str, Tuple[int, Any]] = field(
         default_factory=dict, repr=False, compare=False

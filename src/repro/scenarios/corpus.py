@@ -319,7 +319,7 @@ def builtin_scenarios() -> List[Scenario]:
         serve=Serve(
             duration_s=12.0, offered_load_rps=4.0, burst_load_rps=12.5,
             burst_start_s=2.0, burst_end_s=6.0, deadline_ms=3000.0,
-            queue_capacity=12, batch=4,
+            queue_capacity=12, batch_max=4,
         ),
         envelope=Envelope(ber_max=0.05, latency_max_s=LATENCY_BOUND_S),
         seed=7001,
@@ -335,7 +335,7 @@ def builtin_scenarios() -> List[Scenario]:
         trial=TrialConfig(repeats=1, payload_bits=16, packets_per_bit=16.0),
         serve=Serve(
             duration_s=12.0, offered_load_rps=4.0, deadline_ms=4000.0,
-            queue_capacity=16, batch=4, max_attempts=3,
+            queue_capacity=16, batch_max=4, max_attempts=3,
         ),
         faults="worker_crash:prob=0.08;worker_stall:prob=0.05,stall=1.0",
         envelope=Envelope(ber_max=0.05, latency_max_s=LATENCY_BOUND_S),
@@ -356,7 +356,7 @@ def builtin_scenarios() -> List[Scenario]:
         trial=TrialConfig(repeats=1, payload_bits=8, packets_per_bit=8.0),
         serve=Serve(
             duration_s=12.0, offered_load_rps=20.0, deadline_ms=2500.0,
-            queue_capacity=24, batch=4, n_tags=64, fleet_capacity=16,
+            queue_capacity=24, batch_max=4, n_tags=64, fleet_capacity=16,
             outlier_tags=(7,), outlier_distance_m=2.4,
         ),
         envelope=Envelope(ber_max=0.25, latency_max_s=LATENCY_BOUND_S),
@@ -373,7 +373,7 @@ def builtin_scenarios() -> List[Scenario]:
         trial=TrialConfig(repeats=1, payload_bits=16, packets_per_bit=11.0),
         serve=Serve(
             duration_s=10.0, offered_load_rps=3.0, deadline_ms=4000.0,
-            queue_capacity=16, batch=4, arrival_profile="office",
+            queue_capacity=16, batch_max=4, arrival_profile="office",
         ),
         envelope=Envelope(ber_max=0.05, latency_max_s=LATENCY_BOUND_S),
         seed=7003,

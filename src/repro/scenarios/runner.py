@@ -241,7 +241,7 @@ def _execute_serve(
         burst_end_s=serve.burst_end_s * time_scale,
         deadline_ms=serve.deadline_ms,
         queue_capacity=serve.queue_capacity,
-        batch=serve.batch,
+        batch_max=serve.batch_max,
         workers=effective_workers,
         max_attempts=serve.max_attempts,
         arrival_profile=serve.arrival_profile,

@@ -299,7 +299,7 @@ class Serve:
         burst_start_s / burst_end_s: burst window within the spell.
         deadline_ms: per-request latency budget.
         queue_capacity: bounded ingress depth (overflow sheds).
-        batch: requests dispatched per decode round.
+        batch_max: requests dispatched per decode task.
         arrival_profile: "cbr" | "poisson" | "bursty" | "office".
         workers: decode worker processes (0 = inline).
         max_attempts: supervised retries before dead-lettering.
@@ -320,7 +320,7 @@ class Serve:
     burst_end_s: float = 0.0
     deadline_ms: float = 4000.0
     queue_capacity: int = 16
-    batch: int = 4
+    batch_max: int = 4
     arrival_profile: str = "poisson"
     workers: int = 0
     max_attempts: int = 3
@@ -349,7 +349,8 @@ class Serve:
                  "deadline_ms")
         _require(int(self.queue_capacity) >= 1, "must be >= 1",
                  "queue_capacity")
-        _require(int(self.batch) >= 1, "must be >= 1", "batch")
+        _require(int(self.batch_max) >= 1, "must be >= 1",
+                 "batch_max")
         from repro.serve.arrivals import ARRIVAL_PROFILES
 
         _require(self.arrival_profile in ARRIVAL_PROFILES,

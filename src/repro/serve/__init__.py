@@ -31,7 +31,7 @@ sets and the whole overload story is replayable.
 from repro.serve.arrivals import ARRIVAL_PROFILES, generate_arrivals
 from repro.serve.breaker import TagBreaker
 from repro.serve.deadline import DeadlineBudget
-from repro.serve.decode import ServeBatchTask, ServeDecodeTask, decode_batch_task
+from repro.serve.decode import ServeBatchTask, decode_batch_task
 from repro.serve.gateway import ServeConfig, ServeResult, StreamingDecodeGateway, run_serve
 from repro.serve.lifecycle import LifecycleTracker
 from repro.serve.queues import BoundedPriorityQueue, ShedEvent
@@ -63,7 +63,6 @@ __all__ = [
     "STATUSES",
     "ServeBatchTask",
     "ServeConfig",
-    "ServeDecodeTask",
     "ServeOutcome",
     "ServeReport",
     "ServeResult",

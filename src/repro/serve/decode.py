@@ -1,11 +1,13 @@
 """The picklable decode task the gateway fans out to workers.
 
-One task = one queued request through the full uplink pipeline
+One task = one dispatch group of queued requests, each decoded in turn
+through the full uplink pipeline
 (:func:`repro.sim.link.run_uplink_trial`).  The task is plain data and
-its random stream derives purely from ``(root_seed, seq)``, so any
-worker — or a supervised retry after a crash — decodes the identical
-payload.  Fault plans are rewound before use so an inline (workers=0)
-run sees the same injector state a freshly unpickled pool copy would.
+each member's random stream derives purely from ``(root_seed, seq)``,
+so any worker — or a supervised retry after a crash — decodes the
+identical payloads, whatever group a request landed in.  Fault plans
+are rewound before each member so an inline (workers=0) run sees the
+same injector state a freshly unpickled pool copy would.
 """
 
 from __future__ import annotations
@@ -23,136 +25,18 @@ from repro.obs import forensics
 
 
 @dataclass(frozen=True)
-class ServeDecodeTask:
-    """Everything a worker needs to decode one request."""
-
-    seq: int
-    corr_id: str
-    run_id: str
-    root_seed: int
-    payload_bits: int
-    tag_to_reader_m: float
-    packets_per_bit: float
-    mode: str
-    bit_rate_bps: float
-    start_s: float
-    faults: Optional[FaultPlan]
-    helper_to_tag_m: float = 3.0
-    #: Treat decode exceptions as failed-decode *data* even without an
-    #: active fault plan.  The gateway sets this for fleet outlier tags
-    #: (``ServeConfig.outlier_tags``), whose requests decode at a
-    #: deliberately hostile distance — their failures are the point of
-    #: the experiment, not pipeline bugs.
-    lenient: bool = False
-
-    @property
-    def trial(self) -> int:
-        # Dead-letter correlation: the request seq doubles as the
-        # forensics trial index.
-        return self.seq
-
-
-def decode_request_task(task: ServeDecodeTask) -> Dict[str, Any]:
-    """Engine task: decode one request -> plain result dict.
-
-    Decode failures under an active fault plan are *data* (the request
-    failed, the gateway accounts for it), not exceptions — matching the
-    batch drivers' convention.  Without faults an error propagates.
-    """
-    t0 = time.perf_counter()
-    active = task.faults is not None and not task.faults.empty
-    if active:
-        # Inline runs reuse one plan object across requests; rewinding
-        # makes its state identical to the pristine copy each pool
-        # worker unpickles, keeping workers=0 == workers=N.
-        task.faults.reset()
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(task.root_seed, 1, task.seq))
-    )
-    recording = obs.recording_enabled()
-    if recording:
-        forensics.begin(
-            "serve", run_id=task.run_id, trial=task.seq, packet=0
-        )
-    # Local import: repro.sim.link imports the whole decode stack.
-    from repro.sim.link import run_uplink_trial
-
-    try:
-        trial = run_uplink_trial(
-            task.tag_to_reader_m,
-            task.packets_per_bit,
-            mode=task.mode,
-            num_payload_bits=task.payload_bits,
-            bit_rate_bps=task.bit_rate_bps,
-            traffic="cbr",
-            rng=rng,
-            faults=task.faults,
-            start_s=task.start_s,
-            helper_to_tag_m=task.helper_to_tag_m,
-        )
-        if recording:
-            forensics.commit(
-                errors=trial.errors,
-                error_bits=np.flatnonzero(
-                    trial.sent_bits != trial.decoded_bits
-                ),
-            )
-        # Fleet sketch: per-request decode error counts, observed in
-        # whichever process ran the decode.  Integer-valued and folded
-        # per task, so the parent's merged sketch is byte-identical to
-        # an inline run's (see the fleet determinism contract tests).
-        obs.quantile_sketch("fleet.decode.errors").observe(
-            float(trial.errors)
-        )
-        return {
-            "seq": task.seq,
-            "ok": True,
-            "errors": int(trial.errors),
-            "payload": tuple(int(b) for b in trial.decoded_bits),
-            "failure": "",
-            "wall_s": time.perf_counter() - t0,
-        }
-    except ReproError as exc:
-        if recording:
-            forensics.commit(
-                errors=task.payload_bits, failure=type(exc).__name__
-            )
-        if not active and not task.lenient:
-            raise
-        obs.quantile_sketch("fleet.decode.errors").observe(
-            float(task.payload_bits)
-        )
-        return {
-            "seq": task.seq,
-            "ok": False,
-            "errors": int(task.payload_bits),
-            "payload": (),
-            "failure": type(exc).__name__,
-            "wall_s": time.perf_counter() - t0,
-        }
-
-
-# -- micro-batched decode ------------------------------------------------------
-
-
-@dataclass(frozen=True)
 class ServeBatchTask:
-    """One coalesced micro-batch of queued requests, decoded in one pass.
+    """One dispatch group of queued requests: the supervision unit.
 
-    Per-request synthesis is unchanged — request ``seq`` draws from the
-    same ``(root_seed, 1, seq)`` stream whether it is decoded alone or
-    in a batch — and the batched decoder is bit-identical to the scalar
-    pipeline, so the delivered payloads match the unbatched gateway
-    exactly.  The ``seq``/``corr_id`` of the batch's first request
-    double as the task's forensics correlation (a dead-lettered batch
-    loses every member, which the gateway accounts per request).
+    The ``seq``/``corr_id`` of the group's first request double as the
+    task's forensics correlation (a dead-lettered group loses every
+    member, which the gateway accounts per request).
     """
 
     batch_id: int
     run_id: str
     root_seed: int
     payload_bits: int
-    tag_to_reader_m: float
     packets_per_bit: float
     mode: str
     bit_rate_bps: float
@@ -161,6 +45,15 @@ class ServeBatchTask:
     seqs: Tuple[int, ...]
     corr_ids: Tuple[str, ...]
     start_times_s: Tuple[float, ...]
+    #: Per-member tag-to-reader distance: ``ServeConfig.tag_to_reader_m``,
+    #: or ``outlier_distance_m`` for a fleet outlier tag.
+    distances_m: Tuple[float, ...]
+    #: Per-member flag: treat decode exceptions as failed-decode *data*
+    #: even without an active fault plan.  Set for fleet outlier tags
+    #: (``ServeConfig.outlier_tags``), whose requests decode at a
+    #: deliberately hostile distance — their failures are the point of
+    #: the experiment, not pipeline bugs.
+    lenient: Tuple[bool, ...]
 
     @property
     def seq(self) -> int:
@@ -174,132 +67,87 @@ class ServeBatchTask:
     def trial(self) -> int:
         return self.seq
 
-    def request_task(self, index: int) -> ServeDecodeTask:
-        """The equivalent scalar task for member ``index``."""
-        return ServeDecodeTask(
-            seq=self.seqs[index],
-            corr_id=self.corr_ids[index],
-            run_id=self.run_id,
-            root_seed=self.root_seed,
-            payload_bits=self.payload_bits,
-            tag_to_reader_m=self.tag_to_reader_m,
-            packets_per_bit=self.packets_per_bit,
-            mode=self.mode,
-            bit_rate_bps=self.bit_rate_bps,
-            start_s=self.start_times_s[index],
-            faults=self.faults,
-            helper_to_tag_m=self.helper_to_tag_m,
+
+def _decode_member(task: ServeBatchTask, index: int) -> Dict[str, Any]:
+    """Decode member ``index`` -> plain result dict.
+
+    Decode failures under an active fault plan (or for a lenient
+    member) are *data* (the request failed, the gateway accounts for
+    it), not exceptions — matching the batch drivers' convention.
+    Otherwise an error propagates.  ``wall_s`` is this member's own
+    synthesis + decode time.
+    """
+    t0 = time.perf_counter()
+    seq = task.seqs[index]
+    active = task.faults is not None and not task.faults.empty
+    if active:
+        # Inline runs reuse one plan object across requests; rewinding
+        # makes its state identical to the pristine copy each pool
+        # worker unpickles, keeping workers=0 == workers=N.
+        task.faults.reset()
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=(task.root_seed, 1, seq))
+    )
+    recording = obs.recording_enabled()
+    if recording:
+        # Dead-letter correlation: the request seq doubles as the
+        # forensics trial index.
+        forensics.begin("serve", run_id=task.run_id, trial=seq, packet=0)
+    # Local import: repro.sim.link imports the whole decode stack.
+    from repro.sim.link import run_uplink_trial
+
+    try:
+        trial = run_uplink_trial(
+            task.distances_m[index],
+            task.packets_per_bit,
+            mode=task.mode,
+            num_payload_bits=task.payload_bits,
+            bit_rate_bps=task.bit_rate_bps,
+            traffic="cbr",
+            rng=rng,
+            faults=task.faults,
+            start_s=task.start_times_s[index],
+            helper_to_tag_m=task.helper_to_tag_m,
         )
+    except ReproError as exc:
+        if recording:
+            forensics.commit(
+                errors=task.payload_bits, failure=type(exc).__name__
+            )
+        if not active and not task.lenient[index]:
+            raise
+        obs.quantile_sketch("fleet.decode.errors").observe(
+            float(task.payload_bits)
+        )
+        return {
+            "seq": seq,
+            "ok": False,
+            "errors": int(task.payload_bits),
+            "payload": (),
+            "failure": type(exc).__name__,
+            "wall_s": time.perf_counter() - t0,
+        }
+    if recording:
+        forensics.commit(
+            errors=trial.errors,
+            error_bits=np.flatnonzero(trial.sent_bits != trial.decoded_bits),
+        )
+    # Fleet sketch: per-request decode error counts, observed in
+    # whichever process ran the decode.  Integer-valued and folded per
+    # request, so the parent's merged sketch is byte-identical to an
+    # inline run's (see the fleet determinism contract tests).
+    obs.quantile_sketch("fleet.decode.errors").observe(float(trial.errors))
+    return {
+        "seq": seq,
+        "ok": True,
+        "errors": int(trial.errors),
+        "payload": tuple(int(b) for b in trial.decoded_bits),
+        "failure": "",
+        "wall_s": time.perf_counter() - t0,
+    }
 
 
 def decode_batch_task(task: ServeBatchTask) -> List[Dict[str, Any]]:
-    """Engine task: decode one micro-batch -> result dicts in seq order.
-
-    Synthesis runs per request (each from its own derived stream, with
-    the fault plan rewound per member exactly like the scalar path);
-    decoding runs once over the whole batch through
-    :class:`~repro.core.batch.BatchedUplinkDecoder`, whose equality
-    oracle guarantees bit-identical bits/errors to per-request decodes.
-    With forensics recording enabled the batch falls back to the scalar
-    per-request task so the record stream (decoder stages nested inside
-    each request's ``serve`` record) stays byte-identical.
-    """
-    if obs.recording_enabled():
-        return [
-            decode_request_task(task.request_task(i))
-            for i in range(len(task.seqs))
-        ]
-    from repro.core.batch import BatchItem, BatchedUplinkDecoder
-    from repro.sim.link import synthesize_uplink_trial
-    from repro.sim.metrics import bit_errors
-
-    active = task.faults is not None and not task.faults.empty
-    k = len(task.seqs)
-    rows: List[Optional[Dict[str, Any]]] = [None] * k
-    items: List[BatchItem] = []
-    lanes: List[int] = []
-    payloads: List[np.ndarray] = []
-    synth_wall: List[float] = [0.0] * k
-    for i in range(k):
-        t0 = time.perf_counter()
-        if active:
-            task.faults.reset()
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                entropy=(task.root_seed, 1, task.seqs[i])
-            )
-        )
-        try:
-            payload, stream, tx_start = synthesize_uplink_trial(
-                task.tag_to_reader_m,
-                task.packets_per_bit,
-                num_payload_bits=task.payload_bits,
-                bit_rate_bps=task.bit_rate_bps,
-                traffic="cbr",
-                rng=rng,
-                faults=task.faults,
-                start_s=task.start_times_s[i],
-                helper_to_tag_m=task.helper_to_tag_m,
-            )
-        except ReproError as exc:
-            if not active:
-                raise
-            obs.quantile_sketch("fleet.decode.errors").observe(
-                float(task.payload_bits)
-            )
-            rows[i] = {
-                "seq": task.seqs[i],
-                "ok": False,
-                "errors": int(task.payload_bits),
-                "payload": (),
-                "failure": type(exc).__name__,
-                "wall_s": time.perf_counter() - t0,
-            }
-            continue
-        synth_wall[i] = time.perf_counter() - t0
-        lanes.append(i)
-        payloads.append(payload)
-        items.append(BatchItem(
-            stream=stream,
-            num_bits=task.payload_bits,
-            bit_duration_s=1.0 / task.bit_rate_bps,
-            mode=task.mode,
-            start_time_s=tx_start,
-        ))
-    if items:
-        t0 = time.perf_counter()
-        outcomes = BatchedUplinkDecoder().decode_batch(items)
-        decode_share = (time.perf_counter() - t0) / len(items)
-        for i, payload, outcome in zip(lanes, payloads, outcomes):
-            if outcome.ok:
-                errors = bit_errors(payload, outcome.result.bits)
-                obs.counter("uplink.bits.total").inc(task.payload_bits)
-                obs.counter("uplink.bits.errors").inc(errors)
-                obs.quantile_sketch("fleet.decode.errors").observe(
-                    float(errors)
-                )
-                rows[i] = {
-                    "seq": task.seqs[i],
-                    "ok": True,
-                    "errors": int(errors),
-                    "payload": tuple(
-                        int(b) for b in outcome.result.bits
-                    ),
-                    "failure": "",
-                    "wall_s": synth_wall[i] + decode_share,
-                }
-            else:
-                if not active:
-                    raise outcome.error
-                obs.quantile_sketch("fleet.decode.errors").observe(
-                    float(task.payload_bits)
-                )
-                rows[i] = {
-                    "seq": task.seqs[i],
-                    "ok": False,
-                    "errors": int(task.payload_bits),
-                    "payload": (),
-                    "failure": type(outcome.error).__name__,
-                    "wall_s": synth_wall[i] + decode_share,
-                }
-    return rows  # type: ignore[return-value]
+    """Engine task: decode one dispatch group -> one result dict per
+    member, in member order."""
+    return [_decode_member(task, i) for i in range(len(task.seqs))]

@@ -43,12 +43,7 @@ from repro.obs.perf.timeseries import (
 from repro.serve.arrivals import ARRIVAL_PROFILES, generate_arrivals
 from repro.serve.breaker import TagBreaker
 from repro.serve.deadline import DeadlineBudget
-from repro.serve.decode import (
-    ServeBatchTask,
-    ServeDecodeTask,
-    decode_batch_task,
-    decode_request_task,
-)
+from repro.serve.decode import ServeBatchTask, decode_batch_task
 from repro.serve.lifecycle import LifecycleTracker
 from repro.serve.queues import BoundedPriorityQueue, ShedEvent, count_shed
 from repro.serve.report import ServeReport
@@ -95,15 +90,12 @@ class ServeConfig:
     deadline_ms: float = 4000.0
     queue_capacity: int = 32
     egress_capacity: int = 256
-    batch: int = 4
-    #: Micro-batching: when set, up to ``batch_max`` queued requests
-    #: coalesce into ONE :class:`ServeBatchTask` decoded in a single
-    #: batched pass (instead of one task per request).  The gateway
-    #: holds dispatch while the next arrival lands within
-    #: ``batch_window_s`` (virtual) of the oldest queued request, so a
-    #: trickle of traffic still forms batches.  None = per-request
-    #: dispatch, the legacy path.
-    batch_max: Optional[int] = None
+    #: Each dispatch pops up to ``batch_max`` queued requests into ONE
+    #: supervised :class:`ServeBatchTask`.  The gateway holds dispatch
+    #: while the next arrival lands within ``batch_window_s`` (virtual)
+    #: of the oldest queued request, so a trickle of traffic still
+    #: forms groups; a zero window dispatches whatever is queued.
+    batch_max: int = 4
     batch_window_s: float = 0.0
     workers: int = 0
     service_time_s: Optional[float] = None
@@ -139,8 +131,7 @@ class ServeConfig:
     #: Sabotaged tags: requests from these tag addresses decode at
     #: ``outlier_distance_m`` instead of ``tag_to_reader_m`` — a
     #: physically real degradation used to exercise the fleet anomaly
-    #: detector.  Requires the per-request dispatch path (no
-    #: ``batch_max``): a micro-batch decodes at one shared distance.
+    #: detector.
     outlier_tags: Tuple[int, ...] = ()
     outlier_distance_m: Optional[float] = None
 
@@ -153,10 +144,8 @@ class ServeConfig:
             raise ConfigurationError("deadline_ms must be positive")
         if self.queue_capacity < 1:
             raise ConfigurationError("queue_capacity must be >= 1")
-        if self.batch < 1:
-            raise ConfigurationError("batch must be >= 1")
-        if self.batch_max is not None and self.batch_max < 1:
-            raise ConfigurationError("batch_max must be >= 1 or None")
+        if self.batch_max < 1:
+            raise ConfigurationError("batch_max must be >= 1")
         if self.batch_window_s < 0:
             raise ConfigurationError("batch_window_s must be >= 0")
         if self.payload_bits < 1:
@@ -194,11 +183,6 @@ class ServeConfig:
             if self.outlier_distance_m is None:
                 raise ConfigurationError(
                     "outlier_tags require outlier_distance_m"
-                )
-            if self.batch_max is not None:
-                raise ConfigurationError(
-                    "outlier_tags require per-request dispatch "
-                    "(batch_max must be None)"
                 )
             if any(t < 0 for t in self.outlier_tags):
                 raise ConfigurationError(
@@ -364,7 +348,7 @@ class StreamingDecodeGateway:
         now = 0.0
         i = 0
         stopped = False
-        batching = cfg.batch_max is not None
+        outliers = frozenset(cfg.outlier_tags)
         batch_seq = 0
         batch_sizes: List[int] = []
 
@@ -593,36 +577,31 @@ class StreamingDecodeGateway:
             obs.timeseries("serve.queue_depth").sample(float(len(ingress)))
             if not len(ingress):
                 continue
-            batch_id: Optional[int] = None
-            if batching:
-                # Coalesce: hold dispatch while the batch can still
-                # grow — the next arrival lands within the window of
-                # the oldest queued request.  If the window has time
-                # left but no arrival will make it, dispatch at the
-                # window boundary (the wait is honest latency).
-                if len(ingress) < cfg.batch_max and i < len(arrivals):
-                    oldest = ingress.oldest_arrival_s()
-                    window_end = (
-                        oldest if oldest is not None else now
-                    ) + cfg.batch_window_s
-                    if arrivals[i].arrival_s <= window_end:
-                        now = max(now, arrivals[i].arrival_s)
-                        run_ticks(now)
-                        continue
-                    if window_end > now:
-                        now = window_end
-                        run_ticks(now)
-                batch_id = batch_seq
-                batch_seq += 1
-            batch = ingress.pop_batch(
-                cfg.batch_max if batching else cfg.batch
-            )
+            # Coalesce: hold dispatch while the group can still grow —
+            # the next arrival lands within the window of the oldest
+            # queued request.  If the window has time left but no
+            # arrival will make it, dispatch at the window boundary
+            # (the wait is honest latency).
+            if len(ingress) < cfg.batch_max and i < len(arrivals):
+                oldest = ingress.oldest_arrival_s()
+                window_end = (
+                    oldest if oldest is not None else now
+                ) + cfg.batch_window_s
+                if arrivals[i].arrival_s <= window_end:
+                    now = max(now, arrivals[i].arrival_s)
+                    run_ticks(now)
+                    continue
+                if window_end > now:
+                    now = window_end
+                    run_ticks(now)
+            batch_id = batch_seq
+            batch_seq += 1
+            batch = ingress.pop_batch(cfg.batch_max)
             if lifecycle.enabled:
                 depth_after = len(ingress)
                 for bi, req in enumerate(batch):
                     lifecycle.dispatch(
-                        req, now, bi, len(batch), depth_after,
-                        batch_id=batch_id,
+                        req, now, bi, len(batch), depth_after, batch_id,
                     )
             ready: List[DecodeRequest] = []
             for req in batch:
@@ -653,85 +632,46 @@ class StreamingDecodeGateway:
                 continue
             from repro.sim import engine
 
-            if batching:
-                # One supervised task for the whole micro-batch.  Its
-                # sabotage key is the first member's seq, so a fault
-                # plan's crash verdicts are stable under re-batching;
-                # a dead-lettered batch loses every member.
-                batch_sizes.append(len(ready))
-                obs.counter("serve.batches").inc()
-                obs.histogram("serve.batch_size").observe(
-                    float(len(ready))
-                )
-                btask = ServeBatchTask(
-                    batch_id=batch_id if batch_id is not None else 0,
-                    run_id=self.run_id,
-                    root_seed=self.seed,
-                    payload_bits=cfg.payload_bits,
-                    tag_to_reader_m=cfg.tag_to_reader_m,
-                    packets_per_bit=cfg.packets_per_bit,
-                    mode=cfg.mode,
-                    bit_rate_bps=cfg.bit_rate_bps,
-                    helper_to_tag_m=cfg.helper_to_tag_m,
-                    faults=self.faults,
-                    seqs=tuple(req.seq for req in ready),
-                    corr_ids=tuple(req.corr_id for req in ready),
-                    start_times_s=tuple(req.arrival_s for req in ready),
-                )
-                sup = engine.run_trials_supervised(
-                    decode_batch_task,
-                    [btask],
-                    workers=cfg.workers,
-                    sabotage=plan,
-                    keys=[ready[0].seq],
-                    stall_timeout_s=cfg.stall_timeout_s,
-                    max_attempts=cfg.max_attempts,
-                )
-                if sup.dead_letters:
-                    letter0 = sup.dead_letters[0]
-                    dead = {j: letter0 for j in range(len(ready))}
-                    rows: List[Optional[Dict[str, Any]]] = \
-                        [None] * len(ready)
-                else:
-                    dead = {}
-                    rows = sup.results[0]
-                sup_totals["dead_letters"] += len(dead)
-            else:
-                outliers = frozenset(cfg.outlier_tags)
-                tasks = [
-                    ServeDecodeTask(
-                        seq=req.seq,
-                        corr_id=req.corr_id,
-                        run_id=self.run_id,
-                        root_seed=self.seed,
-                        payload_bits=req.payload_bits,
-                        tag_to_reader_m=(
-                            cfg.outlier_distance_m
-                            if req.tag_address in outliers
-                            else cfg.tag_to_reader_m
-                        ),
-                        packets_per_bit=cfg.packets_per_bit,
-                        mode=cfg.mode,
-                        bit_rate_bps=cfg.bit_rate_bps,
-                        start_s=req.arrival_s,
-                        faults=self.faults,
-                        helper_to_tag_m=cfg.helper_to_tag_m,
-                        lenient=req.tag_address in outliers,
-                    )
+            # One supervised task for the whole group.  Its sabotage
+            # key is the first member's seq, so a fault plan's crash
+            # verdicts are stable across replays; a dead-lettered group
+            # loses every member.
+            batch_sizes.append(len(ready))
+            obs.counter("serve.batches").inc()
+            obs.histogram("serve.batch_size").observe(float(len(ready)))
+            btask = ServeBatchTask(
+                batch_id=batch_id,
+                run_id=self.run_id,
+                root_seed=self.seed,
+                payload_bits=cfg.payload_bits,
+                packets_per_bit=cfg.packets_per_bit,
+                mode=cfg.mode,
+                bit_rate_bps=cfg.bit_rate_bps,
+                helper_to_tag_m=cfg.helper_to_tag_m,
+                faults=self.faults,
+                seqs=tuple(req.seq for req in ready),
+                corr_ids=tuple(req.corr_id for req in ready),
+                start_times_s=tuple(req.arrival_s for req in ready),
+                distances_m=tuple(
+                    cfg.outlier_distance_m if req.tag_address in outliers
+                    else cfg.tag_to_reader_m
                     for req in ready
-                ]
-                sup = engine.run_trials_supervised(
-                    decode_request_task,
-                    tasks,
-                    workers=cfg.workers,
-                    sabotage=plan,
-                    keys=[req.seq for req in ready],
-                    stall_timeout_s=cfg.stall_timeout_s,
-                    max_attempts=cfg.max_attempts,
-                )
-                dead = {d.index: d for d in sup.dead_letters}
-                rows = sup.results
-                sup_totals["dead_letters"] += len(sup.dead_letters)
+                ),
+                lenient=tuple(req.tag_address in outliers for req in ready),
+            )
+            sup = engine.run_trials_supervised(
+                decode_batch_task,
+                [btask],
+                workers=cfg.workers,
+                sabotage=plan,
+                keys=[ready[0].seq],
+                stall_timeout_s=cfg.stall_timeout_s,
+                max_attempts=cfg.max_attempts,
+            )
+            letter = sup.dead_letters[0] if sup.dead_letters else None
+            rows = sup.results[0]
+            if letter is not None:
+                sup_totals["dead_letters"] += len(ready)
             sup_totals["crashes"] += sup.crashes
             sup_totals["stalls"] += sup.stalls
             sup_totals["restarts"] += sup.restarts
@@ -739,8 +679,7 @@ class StreamingDecodeGateway:
             for j, req in enumerate(ready):
                 slot_start = now + j * service
                 completed = now + (j + 1) * service
-                if j in dead:
-                    letter = dead[j]
+                if letter is not None:
                     obs.counter("serve.worker_lost").inc()
                     lifecycle.decode(
                         req, slot_start, completed,

@@ -95,14 +95,12 @@ class LifecycleTracker:
         batch_index: int,
         batch_size: int,
         queue_depth: int,
-        batch_id: Optional[int] = None,
+        batch_id: int,
     ) -> None:
         """Record the batch pop that took ``req`` off the queue.
 
-        ``batch_id`` is the micro-batch sequence number when the
-        gateway coalesces requests into one decode task (``batch_max``
-        set); None on the per-request dispatch path, in which case the
-        span carries no ``batch_id`` attribute at all.
+        ``batch_id`` is the dispatch group's sequence number; every
+        member of one group shares it.
         """
         if self._tracer is None:
             return
@@ -113,8 +111,7 @@ class LifecycleTracker:
         mark["batch_index"] = int(batch_index)
         mark["batch_size"] = int(batch_size)
         mark["dispatch_queue_depth"] = int(queue_depth)
-        if batch_id is not None:
-            mark["batch_id"] = int(batch_id)
+        mark["batch_id"] = int(batch_id)
 
     def decode(
         self,
@@ -178,17 +175,15 @@ class LifecycleTracker:
                 wait_s=wait_end - ingress_t,
             ))
         if dispatch_t is not None:
-            dispatch_span = Span.at(
+            root.add_child(Span.at(
                 SPAN_DISPATCH,
                 dispatch_t,
                 dispatch_t,
                 batch_index=mark["batch_index"],
                 batch_size=mark["batch_size"],
                 queue_depth_after=mark["dispatch_queue_depth"],
-            )
-            if "batch_id" in mark:
-                dispatch_span.set(batch_id=mark["batch_id"])
-            root.add_child(dispatch_span)
+                batch_id=mark["batch_id"],
+            ))
         decode_mark = mark.get("decode")
         if decode_mark is not None:
             start_s, end_s, ok, errors = decode_mark

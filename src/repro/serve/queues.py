@@ -128,7 +128,7 @@ class BoundedPriorityQueue:
         Requests enter in arrival order and eviction removes from the
         newest end, so each class deque's head is its oldest member;
         the queue's oldest is the minimum across class heads.  The
-        micro-batching gateway anchors its coalescing window here.
+        gateway anchors its coalescing window here.
         """
         heads = [q[0].arrival_s for q in self._classes if q]
         return min(heads) if heads else None

@@ -61,8 +61,7 @@ class ServeReport:
     breaker_preempted: int = 0
     telemetry_path: Optional[str] = None
     telemetry_snapshots: int = 0
-    #: Micro-batching (``batch_max`` set): decode batches dispatched,
-    #: and their size stats.  All zero on the per-request path.
+    #: Dispatch groups (one decode task each) and their size stats.
     batches: int = 0
     batch_size_max: int = 0
     batch_size_mean: float = 0.0

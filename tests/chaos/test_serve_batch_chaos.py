@@ -32,7 +32,6 @@ BATCHED = dict(
     burst_end_s=6.0,
     deadline_ms=2500.0,
     queue_capacity=12,
-    batch=4,
     batch_max=8,
     batch_window_s=0.1,
     payload_bits=8,

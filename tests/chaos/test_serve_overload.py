@@ -41,13 +41,16 @@ OVERLOAD = dict(
     burst_end_s=6.0,
     deadline_ms=2500.0,
     queue_capacity=12,
-    batch=4,
+    batch_max=4,
     payload_bits=8,
     packets_per_bit=6.0,
     bit_rate_bps=50.0,
 )
 
-FAULT_SPEC = "worker_crash:prob=0.12;worker_stall:prob=0.08,stall=0.6"
+# Verdicts fall per supervised task, i.e. per dispatch group (~2.6
+# requests here), so these are the per-request rates 0.12 / 0.08
+# compounded over a group: 1 - 0.88**2.6 ~ 0.3, 1 - 0.92**2.6 ~ 0.2.
+FAULT_SPEC = "worker_crash:prob=0.3;worker_stall:prob=0.2,stall=0.6"
 
 
 @pytest.fixture(scope="module")

@@ -1,17 +1,21 @@
-"""Gateway micro-batching: coalescing, accounting, span annotation.
+"""Gateway dispatch groups: coalescing, accounting, span annotation.
 
-With ``batch_max`` set the gateway coalesces queued requests into one
-``BatchDecodeTask`` per dispatch.  The contract: delivered payloads
-are identical to the per-request path, shed/deadline accounting is
-untouched, every dispatch span carries the batch annotation, and the
-report's batch aggregates describe what actually shipped.
+Every dispatch pops up to ``batch_max`` queued requests into one
+supervised ``ServeBatchTask``.  The contract: a request decodes to the
+same payload whatever group it lands in, the conservation law holds,
+every dispatch span carries the group annotation, the report's batch
+aggregates describe what actually shipped, and each request's
+``wall_s`` is its own decode time.
 """
+
+import time
 
 import pytest
 
 from repro import obs
 from repro.obs import state as obs_state
-from repro.serve import ServeConfig, run_serve
+from repro.obs.perf.bench import FLEET_TELEMETRY_CONFIG
+from repro.serve import ServeConfig, gateway, read_telemetry, run_serve
 from repro.serve.request import SPAN_DISPATCH, SPAN_REQUEST
 
 BASE = dict(
@@ -22,7 +26,7 @@ BASE = dict(
     burst_end_s=6.0,
     deadline_ms=2500.0,
     queue_capacity=12,
-    batch=4,
+    batch_max=4,
     payload_bits=8,
     bit_rate_bps=50.0,
 )
@@ -43,20 +47,22 @@ def run_with(**overrides):
     return run_serve(ServeConfig(**{**BASE, **overrides}), seed=SEED)
 
 
-class TestCoalescingEquivalence:
-    def test_batched_delivers_identical_payloads(self):
-        plain = run_with()
-        batched = run_with(batch_max=BASE["batch"], batch_window_s=0.0)
-        assert batched.delivered_payloads() == plain.delivered_payloads()
+def decoded(result):
+    """corr_id -> (payload, errors) for every request the decoder saw."""
+    return {o.corr_id: (o.payload, o.errors) for o in result.outcomes
+            if o.status in ("delivered", "decode_failed")}
 
-    def test_batched_accounting_untouched(self):
-        plain = run_with()
-        batched = run_with(batch_max=BASE["batch"], batch_window_s=0.0)
-        for field in ("arrivals", "delivered", "decode_failed", "shed",
-                      "deadline_abandoned", "worker_lost"):
-            assert getattr(batched.report, field) == \
-                getattr(plain.report, field), field
-        assert batched.report.shed_by_reason == plain.report.shed_by_reason
+
+class TestCoalescingEquivalence:
+    def test_group_size_does_not_change_a_request(self):
+        alone = decoded(run_with(batch_max=1))
+        grouped = run_with(batch_max=16, batch_window_s=0.1)
+        assert grouped.report.batch_size_max > 1
+        grouped = decoded(grouped)
+        common = set(alone) & set(grouped)
+        assert len(common) > 10
+        for corr_id in common:
+            assert grouped[corr_id] == alone[corr_id], corr_id
 
     def test_conservation_law_holds_while_batching(self):
         batched = run_with(batch_max=16, batch_window_s=0.2)
@@ -93,11 +99,10 @@ class TestBatchFormation:
         assert d["batch_size_max"] == report.batch_size_max
         assert d["batch_size_mean"] == report.batch_size_mean
 
-    def test_per_request_path_reports_no_batches(self):
+    def test_default_config_dispatches_groups_of_four(self):
         result = run_with()
-        assert result.report.batches == 0
-        assert result.report.batch_size_max == 0
-        assert result.report.batch_size_mean == 0.0
+        assert result.report.batches > 0
+        assert result.report.batch_size_max == 4
 
 
 class TestSpanAnnotation:
@@ -131,10 +136,10 @@ class TestSpanAnnotation:
         assert all(len(sizes) == 1 for sizes in sizes_by_id.values())
         assert len(sizes_by_id) == result.report.batches
 
-    def test_per_request_path_has_no_batch_id(self):
+    def test_zero_window_annotates_every_dispatch(self):
         _, dispatches = self._dispatch_spans()
         assert dispatches
-        assert all("batch_id" not in attrs for attrs in dispatches)
+        assert all("batch_id" in attrs for attrs in dispatches)
 
 
 class TestPooledBatching:
@@ -148,3 +153,44 @@ class TestPooledBatching:
             shutdown_pool()
         assert inline.delivered_payloads() == pooled.delivered_payloads()
         assert inline.report.batches == pooled.report.batches
+
+
+class TestOutliers:
+    def test_outlier_tag_flagged_with_micro_batching(self, tmp_path):
+        # The bench's fleet shape (seed 0, as ``repro bench`` runs it)
+        # with groups of up to 16: each member decodes at its own
+        # distance, so sabotaged tag 7 still stands out.
+        tele = str(tmp_path / "tele.jsonl")
+        result = run_serve(
+            ServeConfig(**{**FLEET_TELEMETRY_CONFIG, "batch_max": 16,
+                           "batch_window_s": 0.1}),
+            seed=0, telemetry_out=tele,
+        )
+        assert result.report.batch_size_max > 1
+        _, snapshots, _ = read_telemetry(tele)
+        assert any(
+            tr["tag"] == 7 and tr["kind"] == "anomalous"
+            for snap in snapshots
+            for tr in (snap.get("fleet") or {}).get("transitions", [])
+        )
+        error_bits = result.report.fleet["offenders"]["error_bits"]
+        assert error_bits[0]["key"] == "7"
+
+
+class TestWallTime:
+    def test_each_request_carries_its_own_decode_time(self, monkeypatch):
+        calls = []
+        original = gateway.decode_batch_task
+
+        def timed(task):
+            t0 = time.perf_counter()
+            rows = original(task)
+            calls.append((time.perf_counter() - t0, rows))
+            return rows
+
+        monkeypatch.setattr(gateway, "decode_batch_task", timed)
+        run_with(batch_max=8, batch_window_s=0.1)
+        assert any(len(rows) > 1 for _, rows in calls)
+        for wall, rows in calls:
+            assert all(row["wall_s"] > 0 for row in rows)
+            assert sum(row["wall_s"] for row in rows) <= wall

@@ -232,7 +232,7 @@ class TestServeConfig:
         dict(offered_load_rps=0.0),
         dict(deadline_ms=0.0),
         dict(queue_capacity=0),
-        dict(batch=0),
+        dict(batch_max=0),
         dict(arrival_profile="storm"),
         dict(priority_mix=(1.0, 1.0)),
         dict(burst_load_rps=1.0, offered_load_rps=4.0),

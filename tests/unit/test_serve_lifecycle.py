@@ -38,7 +38,7 @@ OVERLOAD = dict(
     burst_end_s=6.0,
     deadline_ms=2500.0,
     queue_capacity=12,
-    batch=4,
+    batch_max=4,
     payload_bits=8,
     bit_rate_bps=50.0,
 )
